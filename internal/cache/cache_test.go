@@ -266,6 +266,42 @@ func TestSingleflightFailedLeader(t *testing.T) {
 	}
 }
 
+// TestSingleflightStaleFlightNotJoined pins the epoch guard on flights: a
+// request that has observed a commit intersecting the query must not join a
+// flight whose leader started on the snapshot before it — the leader's rows
+// predate the write. It runs solo and backfills; a request on the leader's
+// own epoch still joins.
+func TestSingleflightStaleFlightNotJoined(t *testing.T) {
+	c := New(1 << 20)
+	fp := fpOf(nil, []uint32{1})
+	_, fl, leader := c.GetOrStart("q", 1)
+	if !leader {
+		t.Fatal("first caller must lead")
+	}
+	c.Advance(2, fpOf(nil, []uint32{1})) // a write the query reads
+
+	if e, fl2, lead2 := c.GetOrStart("q", 2); e != nil || fl2 != nil || lead2 {
+		t.Fatalf("epoch-2 caller joined the epoch-1 flight: e=%v flight=%v leader=%v", e, fl2 != nil, lead2)
+	}
+	if _, fl1, lead1 := c.GetOrStart("q", 1); fl1 != fl || lead1 {
+		t.Fatal("a caller on the leader's epoch must still follow its flight")
+	}
+
+	// The solo run backfills at epoch 2; the stale leader finishing later
+	// must never make epoch-1 rows servable at epoch 2.
+	fresh := entryOf(2, fp, 3)
+	if !c.Put("q", fresh) {
+		t.Fatal("solo backfill not admitted")
+	}
+	if e, ok := c.Get("q", 2); !ok || e != fresh {
+		t.Fatal("the backfilled entry must serve epoch 2")
+	}
+	c.Finish("q", fl, entryOf(1, fp, 1))
+	if e, ok := c.Get("q", 2); ok && e != fresh {
+		t.Fatalf("epoch 2 served the stale leader's %d rows", len(e.Rows))
+	}
+}
+
 func TestFlightWaitHonorsContext(t *testing.T) {
 	c := New(1 << 20)
 	_, fl, _ := c.GetOrStart("q", 1)

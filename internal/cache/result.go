@@ -75,8 +75,9 @@ func (e *Entry) Bytes() int64 { return e.bytes }
 // admissible) through Finish; followers Wait for it instead of running the
 // same search concurrently.
 type Flight struct {
-	done chan struct{}
-	e    *Entry
+	done  chan struct{}
+	e     *Entry
+	epoch uint64 // the snapshot epoch the leader observed when it started
 }
 
 // Wait blocks until the flight's leader finishes or ctx is cancelled. It
@@ -199,6 +200,11 @@ func (c *Cache) Get(key string, cur uint64) (*Entry, bool) {
 // computation in progress the caller becomes the leader (leader == true) and
 // MUST call Finish exactly once with the flight; on a miss behind an
 // in-progress computation the returned flight is to be Waited on.
+//
+// A flight whose leader observed an epoch older than cur is not joined: its
+// rows may predate a write the caller has already seen acknowledged. Such a
+// caller gets (nil, nil, false) — it runs on its own and may backfill the
+// cache through Put.
 func (c *Cache) GetOrStart(key string, cur uint64) (e *Entry, fl *Flight, leader bool) {
 	if c == nil {
 		return nil, nil, false
@@ -209,9 +215,12 @@ func (c *Cache) GetOrStart(key string, cur uint64) (e *Entry, fl *Flight, leader
 		return e, nil, false
 	}
 	if fl, ok := c.flights[key]; ok {
+		if fl.epoch < cur {
+			return nil, nil, false
+		}
 		return nil, fl, false
 	}
-	fl = &Flight{done: make(chan struct{})}
+	fl = &Flight{done: make(chan struct{}), epoch: cur}
 	c.flights[key] = fl
 	return nil, fl, true
 }

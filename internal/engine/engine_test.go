@@ -636,40 +636,43 @@ func TestNECSPARQLStarProfiled(t *testing.T) {
 
 // TestDefaultWorkersParallel pins the out-of-the-box parallelism contract:
 // an engine built with Workers == 0 resolves to runtime.GOMAXPROCS and its
-// materialized execution equals sequential execution row for row.
+// materialized execution equals sequential execution row for row — capped
+// by MaxSolutions or not (the cap keeps the parallel default; the ordered
+// merge makes the surviving row subset that of a sequential run).
 func TestDefaultWorkersParallel(t *testing.T) {
 	ts := uniTriples()
-	auto := New(transform.Build(ts, transform.TypeAware), core.Optimized())
-	if runtime.GOMAXPROCS(0) > 1 && auto.opts.Workers < 2 {
-		t.Fatalf("Workers = %d, want GOMAXPROCS default", auto.opts.Workers)
-	}
-	// A MaxSolutions cap keeps the sequential default: parallel early
-	// termination would make the surviving row subset nondeterministic.
-	capped := core.Optimized()
-	capped.MaxSolutions = 5
-	if w := New(transform.Build(ts, transform.TypeAware), capped).opts.Workers; w != 1 {
-		t.Fatalf("capped engine Workers = %d, want 1", w)
-	}
-	seqOpts := core.Optimized()
-	seqOpts.Workers = 1
-	seq := New(transform.Build(ts, transform.TypeAware), seqOpts)
-
 	q := prefix + `SELECT ?x ?y WHERE { ?x :memberOf ?y . }`
-	ra, err := auto.Query(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs, err := seq.Query(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ra.Rows) != len(rs.Rows) {
-		t.Fatalf("rows: auto %d, sequential %d", len(ra.Rows), len(rs.Rows))
-	}
-	for i := range ra.Rows {
-		for j := range ra.Rows[i] {
-			if ra.Rows[i][j] != rs.Rows[i][j] {
-				t.Fatalf("row %d differs: %v vs %v", i, ra.Rows[i], rs.Rows[i])
+	for _, maxSolutions := range []int{0, 2} {
+		autoOpts := core.Optimized()
+		autoOpts.MaxSolutions = maxSolutions
+		auto := New(transform.Build(ts, transform.TypeAware), autoOpts)
+		if runtime.GOMAXPROCS(0) > 1 && auto.opts.Workers < 2 {
+			t.Fatalf("MaxSolutions=%d: Workers = %d, want GOMAXPROCS default", maxSolutions, auto.opts.Workers)
+		}
+		seqOpts := core.Optimized()
+		seqOpts.MaxSolutions = maxSolutions
+		seqOpts.Workers = 1
+		seq := New(transform.Build(ts, transform.TypeAware), seqOpts)
+
+		ra, err := auto.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rs, err := seq.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if maxSolutions > 0 && len(rs.Rows) != maxSolutions {
+			t.Fatalf("capped sequential run: %d rows, want %d", len(rs.Rows), maxSolutions)
+		}
+		if len(ra.Rows) != len(rs.Rows) {
+			t.Fatalf("MaxSolutions=%d rows: auto %d, sequential %d", maxSolutions, len(ra.Rows), len(rs.Rows))
+		}
+		for i := range ra.Rows {
+			for j := range ra.Rows[i] {
+				if ra.Rows[i][j] != rs.Rows[i][j] {
+					t.Fatalf("MaxSolutions=%d row %d differs: %v vs %v", maxSolutions, i, ra.Rows[i], rs.Rows[i])
+				}
 			}
 		}
 	}

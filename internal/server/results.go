@@ -2,12 +2,12 @@ package server
 
 import (
 	"bytes"
-	"encoding/json"
 	"encoding/xml"
 	"io"
 	"mime"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"repro/internal/rdf"
 )
@@ -92,83 +92,154 @@ func newResultWriter(ct string, w io.Writer) resultWriter {
 }
 
 // jsonWriter streams the SPARQL 1.1 Query Results JSON Format. Key order is
-// fixed by construction, so the byte stream is deterministic.
+// fixed by construction, so the byte stream is deterministic. A row costs no
+// allocation: each binding key is encoded once per response by writeHead,
+// strings go through appendJSONString, and the row buffer is reused.
 type jsonWriter struct {
 	w    io.Writer
-	vars []string
+	keys [][]byte // per variable, the encoded `"name":` prefix of its binding
 	rows int
-	buf  bytes.Buffer
+	buf  []byte
 }
 
-// jstr appends the JSON encoding of s (a json.Marshal of a string never
-// fails).
-func jstr(b *bytes.Buffer, s string) {
-	enc, _ := json.Marshal(s)
-	b.Write(enc)
+// jsonSafe marks the ASCII bytes appendJSONString copies through unchanged:
+// everything but control bytes, '"', '\\' and the HTML-sensitive '<', '>',
+// '&' that encoding/json escapes by default.
+var jsonSafe = func() (t [utf8.RuneSelf]bool) {
+	for b := 0x20; b < utf8.RuneSelf; b++ {
+		t[b] = true
+	}
+	for _, b := range `"\<>&` {
+		t[b] = false
+	}
+	return t
+}()
+
+const hexDigits = "0123456789abcdef"
+
+// appendJSONString appends s as a JSON string, byte-identical to what
+// json.Marshal writes for it: the short escapes for '"', '\\', \b, \f, \n,
+// \r and \t; \u00xx for the other control bytes and for '<', '>', '&';
+// \u2028 and \u2029 for the line and paragraph separators; and \ufffd for
+// each byte of invalid UTF-8. Runs of safe bytes are copied in one append.
+func appendJSONString(dst []byte, s string) []byte {
+	dst = append(dst, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		b := s[i]
+		if b < utf8.RuneSelf {
+			if jsonSafe[b] {
+				i++
+				continue
+			}
+			dst = append(dst, s[start:i]...)
+			switch b {
+			case '"', '\\':
+				dst = append(dst, '\\', b)
+			case '\b':
+				dst = append(dst, '\\', 'b')
+			case '\f':
+				dst = append(dst, '\\', 'f')
+			case '\n':
+				dst = append(dst, '\\', 'n')
+			case '\r':
+				dst = append(dst, '\\', 'r')
+			case '\t':
+				dst = append(dst, '\\', 't')
+			default:
+				dst = append(dst, '\\', 'u', '0', '0', hexDigits[b>>4], hexDigits[b&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		var esc string
+		switch {
+		case r == utf8.RuneError && size == 1:
+			esc = `\ufffd`
+		case r == '\u2028':
+			esc = `\u2028`
+		case r == '\u2029':
+			esc = `\u2029`
+		}
+		if esc != "" {
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, esc...)
+			start = i + size
+		}
+		i += size
+	}
+	dst = append(dst, s[start:]...)
+	return append(dst, '"')
 }
 
 func (j *jsonWriter) writeHead(vars []string) error {
-	j.vars = vars
-	b := &j.buf
-	b.Reset()
-	b.WriteString(`{"head":{"vars":[`)
+	j.keys = make([][]byte, len(vars))
 	for i, v := range vars {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		jstr(b, v)
+		j.keys[i] = append(appendJSONString(nil, v), ':')
 	}
-	b.WriteString("]},\"results\":{\"bindings\":[")
-	_, err := j.w.Write(b.Bytes())
+	b := append(j.buf[:0], `{"head":{"vars":[`...)
+	for i, k := range j.keys {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, k[:len(k)-1]...) // the key without its ':'
+	}
+	b = append(b, "]},\"results\":{\"bindings\":["...)
+	j.buf = b
+	_, err := j.w.Write(b)
 	return err
 }
 
 func (j *jsonWriter) writeRow(row []rdf.Term) error {
-	b := &j.buf
-	b.Reset()
+	b := j.buf[:0]
 	if j.rows > 0 {
-		b.WriteByte(',')
+		b = append(b, ',')
 	}
-	b.WriteString("\n{")
+	b = append(b, "\n{"...)
 	wrote := false
 	for i, t := range row {
 		if t == "" {
 			continue // unbound OPTIONAL position: the binding is omitted
 		}
 		if wrote {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
 		wrote = true
-		jstr(b, j.vars[i])
-		b.WriteByte(':')
-		writeJSONTerm(b, t)
+		b = append(b, j.keys[i]...)
+		b = appendJSONTerm(b, t)
 	}
-	b.WriteByte('}')
+	b = append(b, '}')
+	j.buf = b
 	j.rows++
-	_, err := j.w.Write(b.Bytes())
+	_, err := j.w.Write(b)
 	return err
 }
 
-func writeJSONTerm(b *bytes.Buffer, t rdf.Term) {
+// appendJSONTerm appends one RDF term as a JSON binding object. Only a
+// literal whose lexical form holds N-Triples escapes allocates (once, in
+// LexicalValue); every other string is a substring of the term.
+func appendJSONTerm(b []byte, t rdf.Term) []byte {
 	switch t.Kind() {
 	case rdf.IRI:
-		b.WriteString(`{"type":"uri","value":`)
-		jstr(b, t.IRIValue())
+		b = append(b, `{"type":"uri","value":`...)
+		b = appendJSONString(b, t.IRIValue())
 	case rdf.Blank:
-		b.WriteString(`{"type":"bnode","value":`)
-		jstr(b, string(t[2:]))
+		b = append(b, `{"type":"bnode","value":`...)
+		b = appendJSONString(b, string(t[2:]))
 	default:
-		b.WriteString(`{"type":"literal","value":`)
-		jstr(b, t.LexicalValue())
+		b = append(b, `{"type":"literal","value":`...)
+		b = appendJSONString(b, t.LexicalValue())
 		if lang := t.Lang(); lang != "" {
-			b.WriteString(`,"xml:lang":`)
-			jstr(b, lang)
+			b = append(b, `,"xml:lang":`...)
+			b = appendJSONString(b, lang)
 		} else if dt := t.DatatypeIRI(); dt != "" {
-			b.WriteString(`,"datatype":`)
-			jstr(b, dt)
+			b = append(b, `,"datatype":`...)
+			b = appendJSONString(b, dt)
 		}
 	}
-	b.WriteByte('}')
+	return append(b, '}')
 }
 
 func (j *jsonWriter) writeBoolean(v bool) error {

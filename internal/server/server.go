@@ -375,8 +375,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, query strin
 			fl = nil
 		}
 		if e != nil {
+			// A hit replays the entry through the same streaming loop as a
+			// live run; only this header (and the latency) tells them apart.
 			s.m.CacheHits.Add(1)
-			s.replayCached(w, ctx, ct, e)
+			w.Header().Set(HeaderCache, "hit")
+			replay := &entryRows{rows: e.Rows}
+			s.streamSelect(w, ctx, ct, e.Vars, replay, replay.Next(), nil)
 			return
 		}
 		disposition = "miss"
@@ -434,41 +438,92 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, query strin
 		colBytes  int64
 	)
 	maxBytes, maxRows := s.results.Limits()
+	tee := func(row []turbohom.Term) {
+		if !collecting {
+			return
+		}
+		colBytes += cache.RowBytes(row)
+		if colBytes > maxBytes || len(collected) >= maxRows {
+			collecting, collected = false, nil
+		} else {
+			collected = append(collected, row)
+		}
+	}
+	if s.streamSelect(w, ctx, ct, p.Vars(), rows, first, tee) && collecting {
+		// Clean and complete: the collected rows are exactly the result set
+		// at the cursor's pinned snapshot.
+		e := cache.NewEntry(p.Vars(), collected, rows.Footprint(), rows.Epoch())
+		if leader {
+			admit = e
+		} else {
+			s.results.Put(key, e)
+		}
+	}
+}
 
+// rowCursor is the part of a turbohom.Rows cursor that streamSelect pumps.
+type rowCursor interface {
+	Next() bool
+	Row() []turbohom.Term
+	Err() error
+}
+
+// entryRows replays a cached entry's rows as a rowCursor.
+type entryRows struct {
+	rows [][]turbohom.Term
+	i    int
+}
+
+func (c *entryRows) Next() bool {
+	if c.i == len(c.rows) {
+		return false
+	}
+	c.i++
+	return true
+}
+
+func (c *entryRows) Row() []turbohom.Term { return c.rows[c.i-1] }
+func (c *entryRows) Err() error           { return nil }
+
+// streamSelect writes one SELECT results document: the head, then each row
+// of cur (first says whether the caller's Next already found one) — flushed
+// after the first and then every flushEvery rows, cut at
+// ServerOptions.MaxRows, stopped when ctx dies — then the closing bytes,
+// with what ended the stream in the trailers. tee, when non-nil, sees each
+// row once it is written. Live runs and cache replays both stream through
+// here, so their bytes, flush cadence and trailer semantics are identical by
+// construction. It reports whether the response carried the complete result
+// set cleanly: only then may the caller cache what tee saw.
+func (s *Server) streamSelect(w http.ResponseWriter, ctx context.Context, ct string, vars []string, cur rowCursor, first bool, tee func([]turbohom.Term)) (complete bool) {
 	w.Header().Set("Content-Type", ct)
 	w.Header().Set("Trailer", TrailerTruncated+", "+TrailerError)
 	flusher, _ := w.(http.Flusher)
 	wr := newResultWriter(ct, w)
-	if err := wr.writeHead(p.Vars()); err != nil {
+	if err := wr.writeHead(vars); err != nil {
 		s.m.QueriesCancelled.Add(1)
-		return
+		return false
 	}
 
 	n := 0
 	truncated := false
 	cancelled := false
-	for next := first; next; next = rows.Next() {
+	for next := first; next; next = cur.Next() {
 		if ctx.Err() != nil {
 			// The request context died (disconnect, timeout) and the
 			// checkpoint saw it before the cursor or a Write did.
 			cancelled = true
 			break
 		}
-		if err := wr.writeRow(rows.Row()); err != nil {
-			// The client went away mid-stream; the deferred Close aborts
-			// the remaining search.
+		row := cur.Row()
+		if err := wr.writeRow(row); err != nil {
+			// The client went away mid-stream; a live caller's deferred
+			// Close aborts the remaining search.
 			s.m.RowsStreamed.Add(int64(n))
 			s.m.QueriesCancelled.Add(1)
-			return
+			return false
 		}
-		if collecting {
-			row := rows.Row()
-			colBytes += cache.RowBytes(row)
-			if colBytes > maxBytes || len(collected) >= maxRows {
-				collecting, collected = false, nil
-			} else {
-				collected = append(collected, row)
-			}
+		if tee != nil {
+			tee(row)
 		}
 		n++
 		if flusher != nil && (n == 1 || n%flushEvery == 0) {
@@ -483,7 +538,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, query strin
 
 	// The document is always closed well-formed; what ended it travels in
 	// the trailers.
-	switch err := rows.Err(); {
+	switch err := cur.Err(); {
 	case err != nil:
 		s.m.QueriesCancelled.Add(1)
 		w.Header().Set(TrailerError, err.Error())
@@ -496,79 +551,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, query strin
 		w.Header().Set(TrailerTruncated, strconv.Itoa(n))
 	default:
 		s.m.QueriesOK.Add(1)
-		if collecting {
-			// Clean and complete: the collected rows are exactly the result
-			// set at the cursor's pinned snapshot.
-			e := cache.NewEntry(p.Vars(), collected, rows.Footprint(), rows.Epoch())
-			if leader {
-				admit = e
-			} else {
-				s.results.Put(key, e)
-			}
-		}
+		complete = true
 	}
-	if err := wr.finish(); err != nil {
-		return
-	}
-	if flusher != nil {
+	if err := wr.finish(); err == nil && flusher != nil {
 		flusher.Flush()
 	}
-}
-
-// replayCached streams a cached entry through the same writer machinery as a
-// live run: identical bytes, flush cadence, MaxRows cap, and trailer
-// semantics — the only observable difference is the X-Turbohom-Cache header
-// (and the latency).
-func (s *Server) replayCached(w http.ResponseWriter, ctx context.Context, ct string, e *cache.Entry) {
-	w.Header().Set("Content-Type", ct)
-	w.Header().Set(HeaderCache, "hit")
-	w.Header().Set("Trailer", TrailerTruncated+", "+TrailerError)
-	flusher, _ := w.(http.Flusher)
-	wr := newResultWriter(ct, w)
-	if err := wr.writeHead(e.Vars); err != nil {
-		s.m.QueriesCancelled.Add(1)
-		return
-	}
-	n := 0
-	truncated := false
-	cancelled := false
-	for _, row := range e.Rows {
-		if ctx.Err() != nil {
-			cancelled = true
-			break
-		}
-		if err := wr.writeRow(row); err != nil {
-			s.m.RowsStreamed.Add(int64(n))
-			s.m.QueriesCancelled.Add(1)
-			return
-		}
-		n++
-		if flusher != nil && (n == 1 || n%flushEvery == 0) {
-			flusher.Flush()
-		}
-		if s.opts.MaxRows > 0 && n >= s.opts.MaxRows {
-			truncated = true
-			break
-		}
-	}
-	s.m.RowsStreamed.Add(int64(n))
-	switch {
-	case cancelled:
-		s.m.QueriesCancelled.Add(1)
-		w.Header().Set(TrailerError, ctx.Err().Error())
-	case truncated:
-		s.m.QueriesOK.Add(1)
-		s.m.Truncated.Add(1)
-		w.Header().Set(TrailerTruncated, strconv.Itoa(n))
-	default:
-		s.m.QueriesOK.Add(1)
-	}
-	if err := wr.finish(); err != nil {
-		return
-	}
-	if flusher != nil {
-		flusher.Flush()
-	}
+	return complete
 }
 
 // queryError maps a query failure with zero bytes written to an HTTP
