@@ -8,8 +8,8 @@
 // -count repetitions of each metric to their median, and then either writes
 // a baseline file or checks the run against one:
 //
-//	go test -run=NONE -bench 'X|Y' -count=6 -json ./... | benchgate -write BENCH_pr5.json
-//	go test -run=NONE -bench 'X|Y' -count=6 -json ./... | benchgate -check BENCH_pr5.json
+//	go test -run=NONE -bench 'X|Y' -count=6 -json ./... | benchgate -write BENCH.json
+//	go test -run=NONE -bench 'X|Y' -count=6 -json ./... | benchgate -check BENCH.json
 //
 // -check exits non-zero when any baseline benchmark regressed by more than
 // -threshold in ns/op (default 1.25, i.e. >25% slower), when a baseline
@@ -45,9 +45,9 @@
 // a parallel-vs-sequential speedup cannot materialize on a 1-core runner.
 // Repeatable.
 //
-// The baseline file is committed at the repository root, one file per perf
-// PR (BENCH_pr4.json, BENCH_pr5.json, ...), forming the project's recorded
-// perf trajectory.
+// The engine-benchmark baseline is committed at the repository root as
+// BENCH.json, one entry per gated benchmark; the serving load test keeps
+// its own record (BENCH_pr9.json) because it gates at a looser threshold.
 package main
 
 import (

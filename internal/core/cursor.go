@@ -2,24 +2,27 @@ package core
 
 import (
 	"context"
-	"sync/atomic"
 
 	"repro/internal/graph"
 )
 
 // This file makes the subgraph search resumable: regionCursor re-expresses
-// searchState.search's recursion as an explicit stack of loop frames, so the
-// enumeration of one candidate region can be suspended after any emitted row
-// and resumed later — by the same goroutine or, state in hand, by another
-// scheduler entirely. Cursor wraps it into a whole-run enumeration (regions
-// in sequential order) with the same resumability.
+// run()'s region loop and searchState.search's recursion as an explicit
+// stack of loop frames, so an enumeration can be suspended after any emitted
+// row and resumed later — by the same goroutine or, state in hand, by another
+// scheduler entirely — and the work it has not started can be split off.
+// Cursor wraps one range-framed cursor over every start candidate into a
+// whole-run enumeration; the parallel pipeline runs one per claimed batch.
 //
-// The machine is a faithful transliteration of the recursion in search.go,
-// which remains the sequential production path and the reference oracle for
-// the differential suite: for any pause/resume schedule, the cursor must
-// deliver byte-identical rows, in the identical order, with identical
-// profile counters. Each frame kind mirrors one loop of the recursion:
+// The machine is a faithful transliteration of run() and the recursion in
+// search.go, which remain the sequential production path and the reference
+// oracle for the differential suite: for any pause/resume schedule, the
+// cursor must deliver byte-identical rows, in the identical order, with
+// identical profile counters. Each frame kind mirrors one loop:
 //
+//	cfRange  — run()'s loop over the start candidates cands[lo:hi): the
+//	           context check, region exploration, the profile's region
+//	           counters and the matching-order plan (shared under +REUSE);
 //	cfSearch — the per-candidate loop of search(dc) at one matching-order
 //	           position (including the +INT and IsJoinable paths);
 //	cfWild   — the per-label loop of bindWild for one wildcard edge;
@@ -45,9 +48,26 @@ import (
 // before the position's wildcard labels are enumerated rather than beneath
 // them, which keeps the binding's undo in the cfSearch frame; nothing inside
 // the wildcard loop reads mapping[u] or used[v].
+//
+// Splitting. splitOff carves the tail of the bottom-most pending loop — the
+// range frame or a cfSearch frame — into a piece another worker can run.
+// Every frame below that loop is exhausted, so every row the cursor still
+// produces precedes every row of the piece in sequential order.
 type regionCursor struct {
 	st    *searchState
 	stack []cframe
+
+	// The range frame's per-run inputs (initRange): the start candidates,
+	// the start query vertex, the index below which every region is a known
+	// explore failure (the pipeline's +REUSE pre-pass), the +REUSE plan (nil
+	// until the first surviving region), and the reusable region object,
+	// replaced on the next region once an in-region piece shares it.
+	cands      []uint32
+	startV     int
+	skipBefore int
+	plan       *searchPlan
+	rg         *region
+	rgShared   bool
 
 	// NEC expansion accounting: the recursion computes
 	// NECExpansionsSkipped from the solution count before/after one
@@ -63,7 +83,8 @@ type regionCursor struct {
 type cframeKind uint8
 
 const (
-	cfSearch cframeKind = iota
+	cfRange cframeKind = iota
+	cfSearch
 	cfWild
 	cfExpand
 )
@@ -76,9 +97,10 @@ type cframe struct {
 	dc int
 	u  int
 
-	// list is the frame's iteration space: candidate vertices (cfSearch),
-	// edge labels (cfWild), or the class candidate snapshot (cfExpand).
-	// i indexes the next element to try.
+	// list is the frame's iteration space: the start candidates up to the
+	// range's end (cfRange, so i is a run-wide candidate index), candidate
+	// vertices (cfSearch), edge labels (cfWild), or the class candidate
+	// snapshot (cfExpand). i indexes the next element to try.
 	list []uint32
 	i    int
 
@@ -105,21 +127,55 @@ type cframe struct {
 	expSet bool
 }
 
-// start (re)initializes the cursor for the region and plan currently set on
-// st (st.rg, st.plan). The caller owns st's lifecycle; one searchState can
-// serve many consecutive regions through the same cursor, exactly like the
-// sequential loop in run().
-func (rc *regionCursor) start(st *searchState) {
+// initRange sets the run-wide inputs of the cursor's range frame (see the
+// regionCursor fields); plan is the +REUSE plan when already known.
+func (rc *regionCursor) initRange(m *matcher, cands []uint32, start, skipBefore int, plan *searchPlan) {
+	rc.cands, rc.startV, rc.skipBefore, rc.plan = cands, start, skipBefore, plan
+	rc.rg = newRegion(len(m.q.Vertices))
+}
+
+// start (re)initializes the cursor to enumerate the candidate regions
+// cands[lo:hi) on st. The caller owns st's lifecycle; one searchState can
+// serve many consecutive ranges through the same cursor.
+func (rc *regionCursor) start(st *searchState, lo, hi int) {
 	rc.st = st
-	rc.stack = rc.stack[:0]
+	rc.stack = append(rc.stack[:0], cframe{kind: cfRange, list: rc.cands[:hi], i: lo})
 	rc.expActive = false
+}
+
+// enter explores candidate region vs and, when it survives, descends into
+// its search — the body of run()'s region loop. It reports whether the
+// region survived exploration.
+func (rc *regionCursor) enter(vs uint32) bool {
+	st := rc.st
+	m := st.m
+	if rc.rgShared {
+		rc.rg = newRegion(len(m.q.Vertices))
+		rc.rgShared = false
+	}
+	rg := rc.rg
+	rg.reset(vs)
+	if !m.explore(rg, rc.startV, vs) {
+		return false
+	}
+	if st.profile != nil {
+		st.profile.Regions++
+		for _, total := range rg.totals {
+			st.profile.ExploredCandidates += total
+		}
+	}
+	if rc.plan == nil || !m.opts.ReuseOrder {
+		rc.plan = m.buildPlan(rg)
+	}
+	st.rg, st.plan = rg, rc.plan
 	rc.descend(0)
+	return true
 }
 
 // resume advances the search until maxRows more solutions have been emitted
 // (counted the way the run counts them, so an NEC bulk count may overshoot),
-// the region is exhausted, or the search stops (visitor false, limit,
-// cancellation). It reports whether the region is finished; false means the
+// the cursor's work is exhausted, or the search stops (visitor false, limit,
+// cancellation). It reports whether the cursor is finished; false means the
 // cursor is suspended and resume can be called again. maxRows <= 0 runs to
 // exhaustion.
 func (rc *regionCursor) resume(maxRows int) bool {
@@ -172,9 +228,9 @@ func (f *cframe) undo(st *searchState) {
 
 // revertInto clears, in dst, the bindings this frame currently holds —
 // without touching the frame itself. It is the cross-state sibling of undo,
-// used when a region split hands a CLONE of the searchState to a thief: the
-// clone must not carry the bindings of the frames the thief is not taking,
-// while the victim's frames keep their flags for their own later undo.
+// used when an in-region split hands a CLONE of the searchState to a piece:
+// the clone must not carry the bindings of the frames the piece is not
+// taking, while the owner's frames keep their flags for their own undo.
 func (f *cframe) revertInto(dst *searchState) {
 	switch f.kind {
 	case cfSearch:
@@ -210,23 +266,21 @@ func (rc *regionCursor) abort() {
 }
 
 // cloneForSplit copies the bindings of a suspended search into a fresh,
-// independently resumable searchState for a region thief: the mapping/edge/
-// variable/injectivity arrays and the NEC snapshots are deep copies, the
-// scratch buffers are fresh (per-goroutine), and the visitor, profile sink
-// and stop flag are the thief's own. The shared region, plan and matcher are
-// immutable for the rest of the region's life and stay shared.
-func (st *searchState) cloneForSplit(visit Visitor, prof *ProfileResult, stop *atomic.Bool) *searchState {
+// independently resumable searchState for an in-region piece: the mapping/
+// edge/variable/injectivity arrays and the NEC snapshots are deep copies, the
+// scratch buffers are fresh (per-goroutine), and the visitor and profile
+// sink are left for the receiving worker to install. The region, plan,
+// matcher, context and run-wide stop flag stay shared.
+func (st *searchState) cloneForSplit() *searchState {
 	n := &searchState{
 		m:        st.m,
 		ctx:      st.ctx,
-		visit:    visit,
 		rg:       st.rg,
 		plan:     st.plan,
 		mapping:  append([]uint32(nil), st.mapping...),
 		edgeBind: append([]uint32(nil), st.edgeBind...),
 		varBind:  append([]uint32(nil), st.varBind...),
-		profile:  prof,
-		stop:     stop,
+		stop:     st.stop,
 		candBuf:  make([][]uint32, len(st.candBuf)),
 		adjBuf:   make([][]uint32, len(st.adjBuf)),
 		listsBuf: make([][][]uint32, len(st.listsBuf)),
@@ -235,8 +289,8 @@ func (st *searchState) cloneForSplit(visit Visitor, prof *ProfileResult, stop *a
 		n.used = append([]bool(nil), st.used...)
 	}
 	if st.m.red != nil {
-		// The class snapshots alias the victim's per-depth candBuf scratch,
-		// which later victim regions overwrite — the thief needs owned copies.
+		// The class snapshots alias the owner's per-depth candBuf scratch,
+		// which later owner regions overwrite — the piece needs owned copies.
 		n.classCands = make([][]uint32, len(st.classCands))
 		for i, c := range st.classCands {
 			n.classCands[i] = append([]uint32(nil), c...)
@@ -247,54 +301,83 @@ func (st *searchState) cloneForSplit(visit Visitor, prof *ProfileResult, stop *a
 	return n
 }
 
-// splitOff carves the tail half of this suspended cursor's bottom-most
-// pending candidate loop into a new, independently resumable cursor, or
-// returns nil when no split is possible. The caller must hold whatever lock
-// serializes this cursor's resumes (the pipeline's region handle): the
-// victim keeps iterating the head of the split frame's list, the thief
-// enumerates the stolen tail over a cloned searchState.
-//
-// The split point must be the bottom-most frame with iterations remaining:
-// every frame below it is exhausted, so every row the victim still produces
-// (the current subtree plus the head candidates) precedes every stolen-tail
-// row in the sequential enumeration — which is exactly the contract the
-// pipeline's span splicing needs. Only cfSearch frames split: wildcard label
-// loops and NEC expansions are cheap per iteration and not worth cloning.
-func (rc *regionCursor) splitOff(visit Visitor, prof *ProfileResult, stop *atomic.Bool) *regionCursor {
-	si := -1
+// piece is work carved off a suspended cursor by splitOff: either the
+// candidate regions [lo, hi) — rc nil, run on the receiver's own reusable
+// state — or, from inside a region, a cursor over a cloned searchState. sp
+// is the pipeline span the piece's rows are delivered into.
+type piece struct {
+	lo, hi int
+	rc     *regionCursor
+	sp     *span
+}
+
+// splitPoint returns the index of the frame splitOff would split — the
+// bottom-most frame with pending iterations — or -1 when that frame is a
+// wildcard label loop or an NEC expansion (cheap per iteration, not worth a
+// piece) or when splitting it would leave the cursor no work of its own.
+func (rc *regionCursor) splitPoint() int {
 	for i := range rc.stack {
-		if rc.stack[i].i < len(rc.stack[i].list) {
-			si = i
-			break
+		f := &rc.stack[i]
+		rem := len(f.list) - f.i
+		if rem == 0 {
+			continue
 		}
+		if f.kind != cfRange && f.kind != cfSearch {
+			return -1
+		}
+		if rem >= 2 {
+			return i // the cursor keeps ⌊rem/2⌋ iterations
+		}
+		for j := i + 1; j < len(rc.stack); j++ {
+			if rc.stack[j].i < len(rc.stack[j].list) {
+				return i // the cursor keeps a pending loop above
+			}
+		}
+		return -1
 	}
+	return -1
+}
+
+// splitOff carves ⌈remaining/2⌉ iterations off the tail of the cursor's
+// bottom-most pending loop and returns them as a piece, or nil when
+// splitPoint finds nothing to split. Only the cursor's owner may call it,
+// between two resumes.
+//
+// Every frame below the split point is exhausted, so every row the cursor
+// still produces — the current subtree plus the head of the split loop —
+// precedes every row of the piece in sequential order, and a later split of
+// the cursor precedes an earlier one. A range piece is a plain index range.
+// An in-region piece gets a clone of the cursor's bindings with the frames
+// at and above the split point reverted: those belong to the cursor's
+// current subtree, not to the piece.
+func (rc *regionCursor) splitOff() *piece {
+	si := rc.splitPoint()
 	if si < 0 {
 		return nil
 	}
 	f := &rc.stack[si]
-	if f.kind != cfSearch {
-		return nil
+	cut := len(f.list) - (len(f.list)-f.i+1)/2
+	if f.kind == cfRange {
+		p := &piece{lo: cut, hi: len(f.list)}
+		f.list = f.list[:cut]
+		return p
 	}
-	remaining := len(f.list) - f.i
-	if remaining < 2 {
-		return nil
-	}
-	take := remaining / 2
-	stolen := append([]uint32(nil), f.list[len(f.list)-take:]...)
-	f.list = f.list[:len(f.list)-take]
-
-	nst := rc.st.cloneForSplit(visit, prof, stop)
-	// The clone copied the victim's live bindings wholesale; the frames at
-	// and above the split point belong to the victim's current subtree, so
-	// their bindings must not leak into the thief's state.
+	// The frame's list may alias per-depth scratch the cursor overwrites
+	// later, so the piece owns a copy of its tail.
+	stolen := append([]uint32(nil), f.list[cut:]...)
+	f.list = f.list[:cut]
+	nst := rc.st.cloneForSplit()
 	for i := len(rc.stack) - 1; i >= si; i-- {
 		rc.stack[i].revertInto(nst)
 	}
+	// The piece reads this region's candidate lists for as long as it runs,
+	// so the cursor's next region needs a fresh region object.
+	rc.rgShared = true
 	nrc := &regionCursor{st: nst}
 	nrc.stack = append(nrc.stack, cframe{
 		kind: cfSearch, dc: f.dc, u: f.u, list: stolen, constJoins: f.constJoins,
 	})
-	return nrc
+	return &piece{rc: nrc}
 }
 
 // step executes one iteration of the top frame's loop. Frames are addressed
@@ -306,6 +389,25 @@ func (rc *regionCursor) step() {
 	f := &rc.stack[top]
 	f.undo(st)
 	switch f.kind {
+	case cfRange:
+		for f.i < len(f.list) {
+			ci := f.i
+			f.i++
+			if err := st.ctx.Err(); err != nil {
+				st.err = err
+				st.stopped = true
+				return
+			}
+			if st.stop != nil && st.stop.Load() {
+				st.stopped = true
+				return
+			}
+			if ci >= rc.skipBefore && rc.enter(f.list[ci]) {
+				return
+			}
+		}
+		rc.stack = rc.stack[:top]
+
 	case cfSearch:
 		for f.i < len(f.list) {
 			v := f.list[f.i]
@@ -597,22 +699,18 @@ func (rc *regionCursor) finishExpansion() {
 
 // Cursor is a resumable whole-run enumeration: the same regions, in the same
 // order, with the same counters as the sequential run(), but pausable after
-// any emitted row. It is the shippable unit of work the pipeline schedules
-// (one cursor per region, suspended on backpressure, its remaining range
-// stealable) and the natural seam for distributed sharding: a suspended
-// cursor plus its candidate range describes exactly the work left to do.
+// any emitted row. Non-point queries run one range-framed regionCursor over
+// every start candidate — the same unit the pipeline schedules per batch,
+// and the natural seam for distributed sharding: a suspended cursor
+// describes exactly the work left to do.
 //
 // A Cursor is single-goroutine; it holds no locks and spawns nothing.
 type Cursor struct {
 	m      *matcher
 	st     *searchState
-	rg     *region
 	rc     regionCursor
 	cands  []uint32
-	start  int
-	next   int // next start-candidate index
-	in     bool
-	plan   *searchPlan // +REUSE shared plan (nil until first surviving region)
+	next   int // point queries: next start-candidate index
 	point  bool
 	done   bool
 	folded bool // signature counters folded into the profile
@@ -640,28 +738,30 @@ func NewCursor(ctx context.Context, g graph.View, q *QueryGraph, sem Semantics, 
 	}
 	m := newMatcher(ctx, g, q, sem, opts)
 	c := &Cursor{m: m}
-	c.start, c.cands = m.startCandidates()
+	start, cands := m.startCandidates()
+	c.cands = cands
 	pr := opts.Profile
 	if pr != nil {
-		pr.StartVertex = c.start
-		pr.StartCandidates = len(c.cands)
+		pr.StartVertex = start
+		pr.StartCandidates = len(cands)
 		if m.red != nil {
 			pr.NECClasses = len(m.red.classes)
 			pr.NECMergedVertices = m.red.mergedVertices()
 		}
 	}
-	if len(c.cands) == 0 {
+	if len(cands) == 0 {
 		c.done = true
 		c.foldSig()
 		return c, nil
 	}
-	c.point = len(m.q.Vertices) == 1 && len(m.q.Edges) == 0
-	if !c.point {
-		m.buildQueryTree(c.start)
-		c.rg = newRegion(len(m.q.Vertices))
-	}
 	c.st = newSearchState(m, visit, opts.MaxSolutions, nil)
 	c.st.profile = pr
+	c.point = len(m.q.Vertices) == 1 && len(m.q.Edges) == 0
+	if !c.point {
+		m.buildQueryTree(start)
+		c.rc.initRange(m, cands, start, 0, nil)
+		c.rc.start(c.st, 0, len(cands))
+	}
 	return c, nil
 }
 
@@ -674,73 +774,16 @@ func (c *Cursor) Resume(maxRows int) (int, bool, error) {
 	if c.done {
 		return 0, true, c.err()
 	}
-	st := c.st
 	before := c.clampedCount()
-	budget := func() int {
-		if maxRows <= 0 {
-			return 0
-		}
-		used := c.clampedCount() - before
-		if used >= maxRows {
-			return -1 // no budget left
-		}
-		return maxRows - used
-	}
-
 	if c.point {
 		c.resumePoint(maxRows, before)
-		if c.done {
-			c.foldSig()
-		}
-		return c.clampedCount() - before, c.done, c.err()
+	} else if c.rc.resume(maxRows) {
+		c.done = true
 	}
-
-	for {
-		if st.stopped {
-			c.done = true
-			break
-		}
-		if c.in {
-			b := budget()
-			if b < 0 {
-				return c.clampedCount() - before, false, nil
-			}
-			if !c.rc.resume(b) {
-				return c.clampedCount() - before, false, nil
-			}
-			c.in = false
-			continue
-		}
-		if c.next >= len(c.cands) {
-			c.done = true
-			break
-		}
-		if err := c.m.ctx.Err(); err != nil {
-			st.err = err
-			c.done = true
-			break
-		}
-		vs := c.cands[c.next]
-		c.next++
-		c.rg.reset(vs)
-		if !c.m.explore(c.rg, c.start, vs) {
-			continue
-		}
-		if st.profile != nil {
-			st.profile.Regions++
-			for _, total := range c.rg.totals {
-				st.profile.ExploredCandidates += total
-			}
-		}
-		if c.plan == nil || !c.m.opts.ReuseOrder {
-			c.plan = c.m.buildPlan(c.rg)
-		}
-		st.rg, st.plan = c.rg, c.plan
-		c.rc.start(st)
-		c.in = true
+	if c.done {
+		c.foldSig()
 	}
-	c.foldSig()
-	return c.clampedCount() - before, true, c.err()
+	return c.clampedCount() - before, c.done, c.err()
 }
 
 // resumePoint is the point-shaped-query fast path of run(), resumable.

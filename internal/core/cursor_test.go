@@ -246,7 +246,7 @@ func TestCursorCancellation(t *testing.T) {
 // 0 has a fan-out of big leaves while the remaining hubs have small ones, so
 // a two-leaf query yields big² rows from one region and tiny trickles from
 // the others — the shape that used to buffer a whole region and now
-// exercises suspended cursors and work stealing.
+// exercises suspended cursors and work splitting.
 func skewedInstance(big, smallHubs, small int) (*graph.Graph, *QueryGraph) {
 	fHub, fLeaf := uint32(0), uint32(1)
 	b := graph.NewBuilder()
@@ -312,14 +312,14 @@ func heavyTailInstance(light, heavy, heavyFan int) (*graph.Graph, *QueryGraph) {
 }
 
 // TestPipelineStealSplit: with the heavy regions packed into the tail
-// batches, workers that finish the light work steal the remaining range of
-// the loaded batches, and the merged output must still be the exact
+// batches, workers that finish the light work ask the loaded batch's owner
+// for part of its work, and the merged output must still be the exact
 // sequential sequence — for streaming, Collect, and Count alike.
 func TestPipelineStealSplit(t *testing.T) {
 	// 930 regions, 4 workers: chunk = 930/32+1 = 30, so the 30 heavy
 	// regions land in exactly the last batch. The three workers that drain
 	// the trivial batches find the shared cursor exhausted while the last
-	// batch's owner is grinding 30 × 1600-row regions — they must steal.
+	// batch's owner is grinding 30 × 1600-row regions — they must split it.
 	g, q := heavyTailInstance(900, 30, 40)
 	opts := Optimized()
 	opts.NoNEC = true
@@ -334,9 +334,9 @@ func TestPipelineStealSplit(t *testing.T) {
 	// backpressure with a suspended cursor; pausing the consumer once inside
 	// the heavy range hands the CPU to the idle workers (on a single-core
 	// scheduler the emitter/owner channel ping-pong would otherwise starve
-	// them), which must then find the shared cursor exhausted and split the
-	// owner's remaining range.
-	before := pipelineSteals.Load()
+	// them), which must then find every batch claimed and ask the owner for
+	// part of its remaining work.
+	before := pipelineSplits.Load()
 	par := opts
 	par.Workers = 4
 	par.StreamBuffer = 8
@@ -358,8 +358,8 @@ func TestPipelineStealSplit(t *testing.T) {
 			t.Fatalf("stream row %d:\n got %s\nwant %s", i, got[i], want[i])
 		}
 	}
-	if steals := pipelineSteals.Load() - before; steals == 0 {
-		t.Error("no steals on the heavy-tail stream: adaptive splitting never engaged")
+	if splits := pipelineSplits.Load() - before; splits == 0 {
+		t.Error("no splits on the heavy-tail stream: work splitting never engaged")
 	}
 
 	// Count takes the same split paths; totals must match sequentially.
@@ -390,39 +390,6 @@ func TestCappedParallelCountBounded(t *testing.T) {
 	}
 	if prof.SearchNodes > 200_000 {
 		t.Fatalf("capped count searched %d nodes of a 4M-row region: early termination lost", prof.SearchNodes)
-	}
-}
-
-// TestStealSplice unit-tests the splitting protocol itself, no scheduler
-// involved: halving of the victim's range, chain splicing in region order,
-// recursive re-splits, and refusal to steal from a spent range.
-func TestStealSplice(t *testing.T) {
-	ps := &pipeState{}
-	owner := &spanWork{sub: newSpan(), next: 5, hi: 25}
-	ps.stealable = append(ps.stealable, owner)
-
-	s1 := ps.steal()
-	if s1 == nil || s1.next != 15 || s1.hi != 25 || owner.hi != 15 {
-		t.Fatalf("first steal: got %+v, owner hi %d", s1, owner.hi)
-	}
-	if owner.sub.next != s1.sub {
-		t.Fatal("first steal did not splice after the owner's span")
-	}
-	owner.next = 13 // owner progressed: avail 2, so s1's [15,25) is largest
-	s2 := ps.steal()
-	if s2 == nil || s2.next != 20 || s2.hi != 25 || s1.hi != 20 {
-		t.Fatalf("second steal: got %+v, s1 hi %d", s2, s1.hi)
-	}
-	if s1.sub.next != s2.sub || s2.sub.next != nil {
-		t.Fatal("second steal spliced out of order")
-	}
-	// Drain the ranges; spent spans must become unstealable.
-	owner.next, s1.next, s2.next = owner.hi, s1.hi, s2.hi
-	if s := ps.steal(); s != nil {
-		t.Fatalf("stole from spent ranges: %+v", s)
-	}
-	if len(ps.stealable) != 0 {
-		t.Fatalf("spent spans not dropped: %d left", len(ps.stealable))
 	}
 }
 

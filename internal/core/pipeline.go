@@ -4,158 +4,104 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // This file implements the ordered parallel region pipeline (paper §5.2
 // lifted from materialized fan-out to streaming) on top of the resumable
 // search cursor: W workers claim contiguous batches of candidate regions
-// from a shared cursor and search them through regionCursor, delivering
-// solutions in bounded row *segments* instead of whole-batch buffers. The
-// calling goroutine — the emitter — replays the segments in exact
-// sequential order, so every sequential contract survives parallelism
-// unchanged: rows arrive in the sequential enumeration order, a visitor
-// returning false stops the run, and MaxSolutions cuts the stream at the
-// same row it would cut a sequential run.
+// from a shared counter and run each batch as one range-framed
+// regionCursor, delivering solutions in bounded row *segments* instead of
+// whole-batch buffers. The calling goroutine — the emitter — replays the
+// segments in exact sequential order, so every sequential contract survives
+// parallelism unchanged: rows arrive in the sequential enumeration order, a
+// visitor returning false stops the run, and MaxSolutions cuts the stream at
+// the same row it would cut a sequential run.
 //
 // Backpressure is per row. A segment holds at most quota rows (derived from
 // Opts.StreamBuffer, which counts rows in flight); a worker that fills a
-// segment hands it to the batch's delivery channel and, when the channel is
-// full, blocks with its region search *suspended in the cursor* — a
-// pathological region that yields a hundred thousand rows therefore never
-// buffers more than ~2 segments of them, and the first rows reach the
-// consumer after O(quota) search work, not after the region is exhausted.
-// A second, coarser bound remains from PR 4: a token semaphore keeps at
-// most `window` batches in flight ahead of the emitter, so an
-// early-terminated run abandons everything beyond the window.
+// segment hands it to its span's channel and, when the channel is full,
+// blocks with its search *suspended in the cursor* — a pathological region
+// that yields a hundred thousand rows therefore never buffers more than ~2
+// segments of them, and the first rows reach the consumer after O(quota)
+// search work, not after the region is exhausted. A second, coarser bound: a
+// token semaphore keeps at most `window` batches in flight ahead of the
+// emitter, so an early-terminated run abandons everything beyond the window.
 //
-// Adaptive batch splitting (work stealing on suspended cursors): a worker
-// that runs out of unclaimed batches steals the remaining candidate range
-// of a still-running batch — typically one pinned down by a pathological
-// region, its owner blocked on backpressure with a suspended cursor. The
-// stolen range becomes a new sub-span spliced into the batch's delivery
-// chain right after the victim's span, so the emitter still replays rows in
-// sequential region order:
+// Work splitting is one protocol, split on request. A worker with no token
+// and no batch sends a reply channel on the unbuffered ps.want. An owner
+// serves requests between two resumes and while parked on backpressure:
+// splitOff carves ⌈remaining/2⌉ iterations off its cursor's bottom-most
+// pending loop — a tail of the batch's candidate range, or of a candidate
+// loop inside the current region — and the piece's span is spliced directly
+// after the owner's:
 //
-//	batch [lo,hi): owner at region r   ──steal──▶  owner keeps [lo, r]
-//	                                               thief takes (r, hi)
-//	delivery chain: owner-span ──▶ thief-span ──▶ (further splits…)
+//	owner span ──▶ T2 ──▶ T1 ──▶ (the owner's old successor)
 //
-// Each span is a channel of segments closed when the span's range is
-// exhausted; span.next is written under the batch lock before the close, so
-// the emitter can follow the chain race-free after observing the close.
+// Every loop below the split point is exhausted, so a later split's tail
+// precedes every earlier one and the emitter replays rows in sequential
+// order with no continuation spans. A split is made only for a worker that
+// is already waiting to run it, and each piece feeds exactly one span, so no
+// span in the chain is ever left without a goroutine to close it.
 
 // maxPipelineChunk caps the candidate-region batch size. Batches amortize
-// scheduling; splitting (above) now handles skew, so the cap matters less
-// than in PR 4, but it still bounds how much work one token pins.
+// scheduling; splitting handles skew, but the cap still bounds how much
+// work one token pins.
 const maxPipelineChunk = 64
 
-// segment is one bounded slice of a batch's solution stream.
+// segment is one bounded slice of a span's solution stream.
 type segment struct {
 	sols  []Match // solutions in sequential order, deep copies (nil when counting)
 	count int     // solutions found (the NEC bulk count may exceed len(sols)==0 rows)
 	err   error   // context error that cut the span short
 }
 
-// span is one contiguous sub-range of a batch's regions: a stream of
-// segments plus the link to the next sub-range in sequential order.
+// span is the delivery channel of one piece of work: a stream of segments
+// plus the link to the span that follows it in sequential order.
 type span struct {
 	segs chan segment
-	next *span // successor in region order; written before segs is closed
+	next *span // successor in region order; final once segs is closed
 }
 
 func newSpan() *span { return &span{segs: make(chan segment, 1)} }
-
-// spanWork is the mutable claim on a span's candidate range, the unit the
-// stealing protocol operates on. Lock order: pipeState.stealMu strictly
-// before spanWork.mu; neither is ever acquired while holding the other
-// reversed.
-type spanWork struct {
-	mu   sync.Mutex
-	sub  *span
-	next int // next region index the owner will start
-	hi   int // exclusive end of the range (shrunk by steals)
-
-	// rotate is the continuation span created by the first region-internal
-	// split of the owner's current region: the owner's in-region rows keep
-	// flowing into sub, the thief spans for the stolen sub-ranges sit
-	// between sub and rotate, and when the region ends the owner closes sub
-	// and carries on in rotate — so the emitter replays
-	// owner-region-rows → stolen-tail-rows → later-regions, the sequential
-	// order. Guarded by mu.
-	rotate *span
-
-	// seedRC, on a thief's synthetic spanWork (empty candidate range), is
-	// the stolen sub-region cursor to run before the range. Set once at
-	// creation, consumed by runSpan.
-	seedRC *regionCursor
-}
 
 // pipeState is the shared coordination state of one pipeline run.
 type pipeState struct {
 	m          *matcher
 	cands      []uint32
 	start      int
+	skipBefore int
+	sharedPlan *searchPlan
 	chunk      int
 	numBatches int
 	collect    bool
 	limit      int
 	quota      int // max rows per segment
-	sharedPlan *searchPlan
-	skipBefore int
 
-	cursor atomic.Int64  // next unclaimed batch
 	stop   atomic.Bool   // emitter finished; abandon unclaimed work
 	done   chan struct{} // closed with stop, releases blocked workers
 	tokens chan struct{} // batch-window semaphore
 	ring   []chan *span  // first span of batch bi arrives at ring[bi%window]
 
-	stealMu sync.Mutex
-	// stealable holds the registered spans in claim order — a slice, not a
-	// set, so the victim scan below visits spans in a deterministic order
-	// (turbolint:maporder guards this path; steal choice shapes only load
-	// balance, never row order, but determinism keeps runs reproducible).
-	// Spent entries are dropped lazily during scans and on unregister.
-	stealable []*spanWork
-	// offers holds region splits published by region owners (offerSplit) and
-	// not yet adopted by an idle worker: synthetic empty-range spanWorks
-	// whose seed cursor is the stolen sub-region. Guarded by stealMu.
-	offers []*spanWork
+	// want carries split requests: an idle worker sends its reply channel
+	// and the owner that receives it answers with a piece of its work.
+	// Unbuffered, so a request exists only while its sender waits for the
+	// answer.
+	want chan chan *piece
 
-	// idle is the number of workers currently hungry — polling for a range
-	// or region to steal. Region owners consult it between cursor resumes:
-	// a split is carved only when someone is waiting to run it (demand-
-	// driven, so an unloaded pipeline never pays for splitting).
-	idle atomic.Int64
-	// working is the number of spanWorks handed out (claim, steal,
-	// stealRegion) whose runSpan has not finished. While it is nonzero an
-	// idle thief must keep polling: a running span may still publish offers.
-	// Increments happen under stealMu, atomically with the hand-out, so a
-	// thief that sees no offers, no stealable range, and working == 0 can
-	// soundly exit.
-	working atomic.Int64
-
-	profMu sync.Mutex
-	prof   *ProfileResult
+	mu       sync.Mutex
+	claimed  int           // batches claimed so far
+	live     int           // pieces handed out and not yet finished
+	finished chan struct{} // closed once every batch is claimed and no piece is live
+	prof     *ProfileResult
 }
 
-// pipelineSteals counts successful steals across all runs — a test hook for
-// asserting the splitting path actually engages on skewed instances.
-var pipelineSteals atomic.Int64
-
-// regionSplits counts successful region-internal cursor splits across all
-// runs — the test hook for the in-region work-stealing path.
-var regionSplits atomic.Int64
-
-// regionStealPoll is how long an idle thief waits before re-checking the
-// offer queue. Region owners publish offers at suspension points
-// (backpressure blocks, counting chunk boundaries), so a short poll keeps
-// thief latency well under the cost of one stolen subtree.
-const regionStealPoll = 50 * time.Microsecond
+// pipelineSplits counts pieces split off running cursors across all runs —
+// a test hook for asserting that splitting engages on skewed instances.
+var pipelineSplits atomic.Int64
 
 // regionResumeChunk is the count-mode resume quota between suspensions:
-// large enough to amortize the suspend, small enough that idle workers get
-// a split offer every few microseconds of counting.
+// large enough to amortize the suspend, small enough that a waiting worker
+// is served a split every few microseconds of counting.
 const regionResumeChunk = 1024
 
 // pipelineQuota derives the per-segment row cap from the StreamBuffer row
@@ -215,7 +161,7 @@ func (m *matcher) runPipeline(visit Visitor) (int, error) {
 	}
 
 	// Dynamic distribution (paper §5.2): small contiguous chunks claimed
-	// from a shared cursor; stealing re-splits whatever skew the static
+	// from a shared counter; splitting re-splits whatever skew the static
 	// chunking misjudged.
 	workers := m.opts.Workers
 	chunk := len(cands)/(workers*8) + 1
@@ -223,9 +169,9 @@ func (m *matcher) runPipeline(visit Visitor) (int, error) {
 		chunk = maxPipelineChunk
 	}
 	// Workers may exceed the batch count: the surplus cannot claim a batch,
-	// but region splitting still gives them work — a one-batch, one-region
-	// instance (a single huge candidate region) parallelizes by carving the
-	// suspended cursor, not by distributing regions.
+	// but splitting still gives them work — a one-batch, one-region instance
+	// (a single huge candidate region) parallelizes by splitting the
+	// suspended search, not by distributing regions.
 	numBatches := (len(cands) + chunk - 1) / chunk
 	window := 2 * workers
 	if window > numBatches {
@@ -269,16 +215,18 @@ func (m *matcher) runPipeline(visit Visitor) (int, error) {
 		m:          m,
 		cands:      cands,
 		start:      start,
+		skipBefore: skipBefore,
+		sharedPlan: sharedPlan,
 		chunk:      chunk,
 		numBatches: numBatches,
 		collect:    visit != nil,
 		limit:      m.opts.MaxSolutions,
 		quota:      quota,
-		sharedPlan: sharedPlan,
-		skipBefore: skipBefore,
 		done:       make(chan struct{}),
 		tokens:     make(chan struct{}, window),
 		ring:       make([]chan *span, window),
+		want:       make(chan chan *piece),
+		finished:   make(chan struct{}),
 		prof:       pr,
 	}
 	for i := range ps.ring {
@@ -351,7 +299,7 @@ emit:
 					break emit
 				}
 			}
-			// segs closed: the span's range is exhausted and next is final.
+			// segs closed: the span's piece is finished and next is final.
 			sp = sp.next
 		}
 		// The batch chain is fully replayed: open the window one batch on.
@@ -369,562 +317,276 @@ emit:
 	return emitted, err
 }
 
-// worker claims fresh batches while any remain (bounded by the window
-// semaphore), then turns thief: it steals the remaining range of running
-// spans until nothing is left to split.
+// worker runs pieces until the run ends: a fresh batch whenever the window
+// has a token, otherwise a split of some running piece, requested on
+// ps.want. It exits when the emitter stops, the context is cancelled, or
+// every batch is claimed and no piece is left that could split.
 func (ps *pipeState) worker() {
+	w := ps.newWorker()
+	if w.localProf != nil {
+		defer func() {
+			ps.mu.Lock()
+			ps.prof.merge(w.localProf)
+			ps.mu.Unlock()
+		}()
+	}
+	reply := make(chan *piece, 1)
+	tokens := ps.tokens
+	for {
+		if ps.stop.Load() || ps.m.ctx.Err() != nil {
+			return
+		}
+		var p *piece
+		// A fresh batch first; only with the window full (or every batch
+		// claimed) does the worker ask a running owner for part of its work.
+		select {
+		case <-tokens:
+		default:
+			select {
+			case <-tokens:
+			case ps.want <- reply:
+				p = <-reply
+			case <-ps.finished:
+				return
+			case <-ps.done:
+				return
+			}
+		}
+		if p == nil {
+			if p = ps.claim(); p == nil {
+				tokens = nil // every batch is claimed: only splits remain
+				continue
+			}
+		}
+		if !w.runSpan(p) {
+			return
+		}
+	}
+}
+
+// claim takes the next batch, counts it live and announces its span to the
+// emitter. It returns nil once every batch is claimed.
+func (ps *pipeState) claim() *piece {
+	ps.mu.Lock()
+	bi := ps.claimed
+	if bi >= ps.numBatches {
+		ps.mu.Unlock()
+		return nil
+	}
+	ps.claimed++
+	ps.live++
+	ps.mu.Unlock()
+	lo := bi * ps.chunk
+	p := &piece{lo: lo, hi: min(lo+ps.chunk, len(ps.cands)), sp: newSpan()}
+	// The slot is guaranteed empty: batch bi is claimable only after batch
+	// bi-window was fully replayed, which drained the slot.
+	ps.ring[bi%len(ps.ring)] <- p.sp
+	return p
+}
+
+// retire marks a piece finished. When it was the last live piece and every
+// batch is claimed, no owner is left that could split, so the waiting
+// workers are released through ps.finished.
+func (ps *pipeState) retire() {
+	ps.mu.Lock()
+	ps.live--
+	if ps.live == 0 && ps.claimed >= ps.numBatches {
+		close(ps.finished)
+	}
+	ps.mu.Unlock()
+}
+
+// pipeWorker is one worker's private execution state: a reusable search
+// state and range cursor, the span of the piece it is running, and the
+// segment row buffer its visitor fills.
+type pipeWorker struct {
+	ps        *pipeState
+	st        *searchState
+	rc        regionCursor
+	visit     Visitor // nil when counting
+	sp        *span
+	buf       []Match
+	localProf *ProfileResult
+}
+
+func (ps *pipeState) newWorker() *pipeWorker {
 	m := ps.m
 	w := &pipeWorker{ps: ps}
 	if ps.prof != nil {
 		w.localProf = new(ProfileResult)
-		defer func() {
-			ps.profMu.Lock()
-			ps.prof.merge(w.localProf)
-			ps.profMu.Unlock()
-		}()
 	}
 	if ps.collect {
-		w.st = newSearchState(m, func(mt Match) bool {
+		w.visit = func(mt Match) bool {
 			if ps.stop.Load() {
 				return false
 			}
 			w.buf = append(w.buf, mt.Clone())
 			return true
-		}, 0, nil)
-	} else {
-		w.st = newSearchState(m, nil, 0, nil)
+		}
 	}
+	w.st = newSearchState(m, w.visit, 0, nil)
 	w.st.profile = w.localProf
 	w.st.stop = &ps.stop
-	w.rg = newRegion(len(m.q.Vertices))
-
-	// hungry advertises this worker in ps.idle while it has nothing to run,
-	// which is what makes region owners start publishing split offers.
-	hungry := false
-	setHungry := func(h bool) {
-		if h != hungry {
-			hungry = h
-			if h {
-				ps.idle.Add(1)
-			} else {
-				ps.idle.Add(-1)
-			}
-		}
-	}
-	defer func() { setHungry(false) }()
-
-	for {
-		if ps.stop.Load() || m.ctx.Err() != nil {
-			return
-		}
-		select {
-		case <-ps.tokens:
-			setHungry(false)
-		case <-ps.done:
-			return
-		default:
-			// The window is full: instead of idling for a token, help a
-			// loaded batch along by stealing part of its remaining range, or
-			// — when every range is spent — adopting a split of a region
-			// search still grinding inside the window.
-			if sw := ps.steal(); sw != nil {
-				setHungry(false)
-				w.runSpan(sw)
-				if w.st.stopped {
-					return
-				}
-				continue
-			}
-			if sw, _ := ps.stealRegion(); sw != nil {
-				setHungry(false)
-				w.runSpan(sw)
-				if w.st.stopped {
-					return
-				}
-				continue
-			}
-			setHungry(true)
-			select {
-			case <-ps.tokens:
-				setHungry(false)
-			case <-ps.done:
-				return
-			case <-time.After(regionStealPoll):
-				// A running region may publish an offer at its next
-				// suspension; re-check instead of parking on the token.
-				continue
-			}
-		}
-		bi, sw := ps.claim()
-		if sw == nil {
-			break // batches exhausted: fall through to stealing
-		}
-		// The slot is guaranteed empty: batch bi is claimable only after
-		// batch bi-window was fully replayed, which drained the slot.
-		ps.ring[bi%len(ps.ring)] <- sw.sub
-		w.runSpan(sw)
-		if w.st.stopped {
-			return
-		}
-	}
-	for {
-		if ps.stop.Load() || m.ctx.Err() != nil {
-			return
-		}
-		sw := ps.steal()
-		if sw == nil {
-			var active bool
-			if sw, active = ps.stealRegion(); sw == nil {
-				if !active {
-					// Sound exit: spanWorks are handed out (and ps.working
-					// incremented) under stealMu, atomically with the claim,
-					// steal, or offer pop, so a thief that observes the batch
-					// cursor exhausted, no stealable range, no pending offer,
-					// and working == 0 has seen a state no future action can
-					// invalidate.
-					return
-				}
-				setHungry(true)
-				select {
-				case <-ps.done:
-					return
-				case <-time.After(regionStealPoll):
-				}
-				continue
-			}
-		}
-		setHungry(false)
-		w.runSpan(sw)
-		if w.st.stopped {
-			return
-		}
-	}
+	w.rc.initRange(m, ps.cands, ps.start, ps.skipBefore, ps.sharedPlan)
+	return w
 }
 
-// claim atomically takes the next batch AND registers its span for
-// stealing. The atomicity (same lock as steal) guarantees a thief that
-// observes the cursor exhausted also observes every claimed span — without
-// it, a thief could slip between a claim and its registration and exit with
-// work still splittable.
-func (ps *pipeState) claim() (int, *spanWork) {
-	ps.stealMu.Lock()
-	defer ps.stealMu.Unlock()
-	bi := int(ps.cursor.Add(1)) - 1
-	if bi >= ps.numBatches {
-		return bi, nil
-	}
-	lo := bi * ps.chunk
-	hi := lo + ps.chunk
-	if hi > len(ps.cands) {
-		hi = len(ps.cands)
-	}
-	sw := &spanWork{sub: newSpan(), next: lo, hi: hi}
-	ps.stealable = append(ps.stealable, sw)
-	ps.working.Add(1)
-	return bi, sw
-}
-
-func (ps *pipeState) unregister(sw *spanWork) {
-	ps.stealMu.Lock()
-	ps.removeLocked(sw)
-	ps.stealMu.Unlock()
-}
-
-// removeLocked drops sw from the registry; stealMu must be held.
-func (ps *pipeState) removeLocked(sw *spanWork) {
-	for i, s := range ps.stealable {
-		if s == sw {
-			ps.stealable = append(ps.stealable[:i], ps.stealable[i+1:]...)
-			return
-		}
-	}
-}
-
-// steal takes the tail half of the largest remaining registered range and
-// splices a fresh span for it into the victim's delivery chain. It returns
-// nil when no range has stealable work left.
-func (ps *pipeState) steal() *spanWork {
-	ps.stealMu.Lock()
-	defer ps.stealMu.Unlock()
-	var victim *spanWork
-	best := 0
-	live := ps.stealable[:0]
-	for _, sw := range ps.stealable {
-		sw.mu.Lock()
-		avail := sw.hi - sw.next
-		sw.mu.Unlock()
-		if avail <= 0 {
-			continue // spent; drop lazily
-		}
-		live = append(live, sw)
-		if avail > best {
-			best, victim = avail, sw
-		}
-	}
-	ps.stealable = live
-	if victim == nil {
-		return nil
-	}
-	victim.mu.Lock()
-	avail := victim.hi - victim.next
-	if avail <= 0 { // raced with the owner finishing
-		victim.mu.Unlock()
-		ps.removeLocked(victim)
-		return nil
-	}
-	take := (avail + 1) / 2
-	lo := victim.hi - take
-	nsw := &spanWork{sub: newSpan(), next: lo, hi: victim.hi}
-	victim.hi = lo
-	// The stolen range follows every region of the victim's kept range — in
-	// particular the victim's CURRENT region and any sub-ranges already
-	// carved out of it by region thieves, which sit between sub and rotate.
-	anchor := victim.sub
-	if victim.rotate != nil {
-		anchor = victim.rotate
-	}
-	nsw.sub.next = anchor.next
-	anchor.next = nsw.sub
-	victim.mu.Unlock()
-	ps.stealable = append(ps.stealable, nsw)
-	ps.working.Add(1)
-	pipelineSteals.Add(1)
-	return nsw
-}
-
-// stealRegion adopts a published region split: a synthetic empty-range
-// spanWork whose seed cursor enumerates the tail half of some owner's
-// in-flight region, its span already spliced into that owner's delivery
-// chain. active reports whether any span is still running — while true, an
-// idle thief must keep polling, because a running span may publish offers.
-func (ps *pipeState) stealRegion() (sw *spanWork, active bool) {
-	ps.stealMu.Lock()
-	defer ps.stealMu.Unlock()
-	if len(ps.offers) > 0 {
-		sw = ps.offers[0]
-		ps.offers = ps.offers[1:]
-		ps.working.Add(1)
-		return sw, true
-	}
-	return nil, ps.working.Load() > 0
-}
-
-// offerSplit carves the tail half of the bottom-most pending candidate loop
-// out of the worker's CURRENT region search and publishes it for an idle
-// worker: the stolen sub-region's rows follow every row the owner still
-// produces in this region, so its span is spliced right after sw.sub —
-// before the continuation span the owner rotates to when the region ends.
-// Only the region's owner calls this, between two resumes, so the cursor
-// needs no lock; demand (ps.idle) is checked by the caller and re-checked
-// here against the offers already outstanding, so a burst of suspensions
-// does not fragment the region beyond what the hungry workers can adopt.
-// Reports whether a split was published (the owner must then rotate spans
-// at region end and stop reusing the region object).
-func (w *pipeWorker) offerSplit(sw *spanWork, rc *regionCursor) bool {
+// runSpan runs piece p, delivering its rows into p.sp in segments of at
+// most quota rows and serving split requests as it goes. A range piece runs
+// on the worker's own state and cursor; an in-region piece brings its own.
+// p.sp is closed on return, after every split spliced behind it, and the
+// result reports whether the worker may go on to another piece (false once
+// the run is stopping).
+func (w *pipeWorker) runSpan(p *piece) bool {
 	ps := w.ps
-	ps.stealMu.Lock()
-	saturated := int64(len(ps.offers)) >= ps.idle.Load()
-	ps.stealMu.Unlock()
-	if saturated {
-		return false
-	}
-	// The thief installs its own visitor and profile sink when it adopts the
-	// seed; the stop flag is shared run-wide.
-	nrc := rc.splitOff(nil, nil, &ps.stop)
-	if nrc == nil {
-		return false
-	}
-	t := newSpan()
-	sw.mu.Lock()
-	if sw.rotate == nil {
-		// First split of this region: create the continuation span this
-		// worker will rotate to when the region ends. Chain becomes
-		// sub → t → rotate → (old successors).
-		cont := newSpan()
-		cont.next = sw.sub.next
-		sw.rotate = cont
-		t.next = cont
+	defer ps.retire()
+	rc := p.rc
+	if rc == nil {
+		rc = &w.rc
+		rc.start(w.st, p.lo, p.hi)
 	} else {
-		// A later split steals the tail of the now-truncated iteration
-		// space, which precedes every earlier-stolen tail in sequential
-		// order: splice directly after sub.
-		t.next = sw.sub.next
+		rc.st.visit, rc.st.profile = w.visit, w.localProf
 	}
-	sw.sub.next = t
-	sw.mu.Unlock()
-	nsw := &spanWork{sub: t, seedRC: nrc}
-	ps.stealMu.Lock()
-	ps.offers = append(ps.offers, nsw)
-	ps.stealMu.Unlock()
-	regionSplits.Add(1)
-	return true
-}
-
-// pipeWorker is one worker's private execution state: a reusable search
-// state and region, the resumable cursor, and the segment row buffer its
-// visitor fills.
-type pipeWorker struct {
-	ps        *pipeState
-	st        *searchState
-	rg        *region
-	rgShared  bool // w.rg's candidate lists are shared with a region thief
-	rc        regionCursor
-	buf       []Match
-	localProf *ProfileResult
-}
-
-// ensureRegion replaces w.rg when its current contents are shared with a
-// region thief (the thief's cloned searchState keeps reading the region's
-// candidate map), so the worker's next reset cannot race the thief's search.
-func (w *pipeWorker) ensureRegion() {
-	if w.rgShared {
-		w.rg = newRegion(len(w.ps.m.q.Vertices))
-		w.rgShared = false
-	}
-}
-
-// runSpan searches sw's candidate range region by region — preceded by the
-// stolen sub-region seed when sw came from a region split — delivering
-// segments of at most quota rows into sw.sub and suspending the region
-// cursor on backpressure. The span's channel is always closed on return —
-// after next is final — so the emitter can follow the chain.
-func (w *pipeWorker) runSpan(sw *spanWork) {
-	ps := w.ps
-	m := ps.m
-	st := w.st
-	countBase := st.count
-	var seedSt *searchState
-	plan := ps.sharedPlan
-	defer ps.working.Add(-1)
-	// spanRows is the solutions THIS span has produced: the stolen seed
-	// sub-region (counted on its cloned state) plus the range's own regions
-	// (counted on the worker state).
-	spanRows := func() int {
-		n := st.count - countBase
-		if seedSt != nil {
-			n += seedSt.count
-		}
-		return n
-	}
+	st := rc.st
+	base := st.count
+	w.sp = p.sp
 	// Span-local MaxSolutions cutoff: once THIS span alone has produced
-	// limit solutions, its remaining regions can never be emitted — the
+	// limit solutions, its remaining work can never be emitted — the
 	// emitter, replaying in order, reaches the cap at or before this span's
 	// end — so the span closes early. The bound must be span-local, not
-	// worker-cumulative as it was pre-stealing: a thief may pick up a range
-	// that precedes work it already counted, and a cumulative cutoff there
-	// would leave a gap before already-delivered rows.
+	// worker-cumulative: a worker may pick up a piece that precedes work it
+	// already counted, and a cumulative cutoff there would leave a gap
+	// before already-delivered rows.
 	spanQuota := func() int {
 		if ps.limit <= 0 {
 			return 0 // unlimited
 		}
-		if q := ps.limit - spanRows(); q > 0 {
+		if q := ps.limit - (st.count - base); q > 0 {
 			return q
 		}
 		return -1 // span produced MaxSolutions; the emitter cuts within it
 	}
-	if sw.seedRC != nil {
-		// Adopt the stolen sub-region: the cursor arrives with a cloned
-		// searchState carrying the victim's live ancestor bindings; this
-		// worker plugs in its own visitor and profile sink before resuming.
-		rc := sw.seedRC
-		seedSt = rc.st
-		seedSt.profile = w.localProf
-		if ps.collect {
-			seedSt.visit = func(mt Match) bool {
-				if ps.stop.Load() {
-					return false
-				}
-				w.buf = append(w.buf, mt.Clone())
-				return true
-			}
-		}
-		w.runRegion(sw, rc, spanQuota)
-		if seedSt.err != nil && st.err == nil {
-			st.err = seedSt.err
-		}
-		if seedSt.stopped {
-			st.stopped = true
-		}
-	}
-	for !st.stopped {
-		if spanQuota() < 0 {
-			break
-		}
-		sw.mu.Lock()
-		gi := sw.next
-		if gi >= sw.hi || st.stopped {
-			sw.mu.Unlock()
-			break
-		}
-		sw.next = gi + 1
-		sw.mu.Unlock()
-
-		if gi < ps.skipBefore {
-			continue // known explore failure (the +REUSE pre-pass)
-		}
-		vs := ps.cands[gi]
-		w.ensureRegion()
-		w.rg.reset(vs)
-		if !m.explore(w.rg, ps.start, vs) {
-			continue
-		}
-		if w.localProf != nil {
-			w.localProf.Regions++
-			for _, total := range w.rg.totals {
-				w.localProf.ExploredCandidates += total
-			}
-		}
-		if plan == nil || !m.opts.ReuseOrder {
-			plan = m.buildPlan(w.rg)
-		}
-		st.rg, st.plan = w.rg, plan
-		w.rc.start(st)
-		w.runRegion(sw, &w.rc, spanQuota)
-	}
-	// Final segment: leftover rows, the span's count contribution (counting
-	// mode), and any context error that cut the search short. When a split
-	// rotated the span mid-range, the count lands in the continuation span —
-	// the emitter's count sum is order-insensitive, so the clamp still cuts
-	// at the same total.
-	seg := segment{sols: w.buf, err: st.err}
-	if !ps.collect {
-		seg.count = spanRows()
-	}
-	w.buf = nil
-	if len(seg.sols) > 0 || seg.count != 0 || seg.err != nil {
-		select {
-		case sw.sub.segs <- seg:
-		case <-ps.done:
-		}
-	}
-	// Publish the final next/hi before closing so thieves observe the spent
-	// range, then close: the emitter reads sub.next only after the close.
-	sw.mu.Lock()
-	sw.next = sw.hi
-	rot := sw.rotate
-	sw.rotate = nil
-	sw.mu.Unlock()
-	ps.unregister(sw)
-	close(sw.sub.segs)
-	if rot != nil {
-		// The span ended with a rotation still pending (the run shut down or
-		// the span quota filled before the split region finished): close the
-		// continuation too, so the emitter can keep walking the chain.
-		close(rot.segs)
-	}
-}
-
-// runRegion drives one region search — the worker's own cursor or a stolen
-// seed sub-region — to completion, suspending on backpressure and offering
-// splits of the remaining iteration space whenever workers are idle. On a
-// mid-region abandonment (span quota filled, shutdown) the cursor is
-// unwound. When a split was published, the owner seals this region's rows
-// and rotates sw.sub to the prepared continuation span, so later regions
-// land after the stolen subtrees in the delivery chain.
-func (w *pipeWorker) runRegion(sw *spanWork, rc *regionCursor, spanQuota func() int) {
-	ps := w.ps
-	st := rc.st
-	regionDone := false
-	split := false
+	done := false
 	for {
 		// Collect mode resumes row by row for eager delivery; count mode
-		// runs in bounded chunks so the cursor suspends often enough for
-		// idle workers to get a split offer (and so one enormous region
-		// cannot blow past a MaxSolutions cap by more than an NEC bulk
-		// batch).
+		// runs in bounded chunks so the cursor suspends often enough to
+		// serve split requests (and so one enormous region cannot blow past
+		// a MaxSolutions cap by more than an NEC bulk batch).
 		quota := 1
 		if !ps.collect {
-			quota = spanQuota()
-			if quota < 0 {
+			if quota = spanQuota(); quota < 0 {
 				break
 			}
 			if quota == 0 || quota > regionResumeChunk {
 				quota = regionResumeChunk
 			}
 		}
-		done := rc.resume(quota)
-		if !done && !st.stopped {
+		done = rc.resume(quota)
+		if !done && !st.stopped && spanQuota() >= 0 {
 			if !ps.collect {
-				// Count mode has no channel operations between chunks, so on
-				// a single P this loop would monopolize the scheduler:
-				// out-of-work workers never run, never go hungry, and the
-				// region finishes unsplit. One yield per chunk lets them
-				// advertise demand (and lets waiting thieves adopt published
-				// offers); its cost is noise against 1024 rows of search.
-				// Collect mode yields naturally through the flush below.
+				// Count mode has no channel operation between chunks, so on
+				// a single P this loop would keep out-of-work workers from
+				// ever reaching their request; one yield per chunk lets them
+				// queue it. Collect mode yields through the flush below.
 				runtime.Gosched()
 			}
-			// Demand-driven splitting, before the flush below so a hungry
-			// worker is already enumerating the stolen tail while this one
-			// blocks on backpressure.
-			if ps.idle.Load() > 0 && w.offerSplit(sw, rc) {
-				split = true
-			}
+			w.serve(rc)
 		}
 		if ps.collect && len(w.buf) > 0 {
 			// Eager per-row delivery: hand over whatever has accumulated
 			// the moment the slot is free, so the emitter never waits for
 			// a full segment; block only when the segment cap is hit —
 			// that block is the per-row backpressure.
-			if !w.flush(sw, false) && len(w.buf) >= ps.quota {
-				if !w.flush(sw, true) {
-					st.stopped = true
-				}
+			if !w.flush(rc, false) && len(w.buf) >= ps.quota && !w.flush(rc, true) {
+				st.stopped = true
 			}
 		}
-		if done || st.stopped {
-			regionDone = done
+		if done || st.stopped || spanQuota() < 0 {
 			break
 		}
-		if spanQuota() < 0 {
-			break // span quota filled mid-region; abandon the rest
-		}
 	}
-	if !regionDone {
-		// The region is abandoned with the cursor suspended: unwind it so
-		// the searchState carries no stale used[]/varBind[] bindings into
-		// later claimed or stolen spans — which may precede the limit cut in
-		// region order and still have rows to deliver.
+	if !done {
+		// The piece is abandoned with the cursor suspended: unwind it so the
+		// searchState carries no stale used[]/varBind[] bindings into later
+		// pieces — which may precede the limit cut in region order and still
+		// have rows to deliver.
 		rc.abort()
 	}
-	if split {
-		// At least one thief now shares this region object (via its cloned
-		// searchState) — the worker must not reset it for the next region.
-		w.rgShared = true
-		// Seal this region's rows into the current span and rotate to the
-		// continuation: the stolen subtrees' spans sit between the two,
-		// preserving sequential order.
-		if len(w.buf) > 0 && !w.flush(sw, true) {
-			st.stopped = true
+	// Final segment: leftover rows, the span's count contribution (counting
+	// mode), and any context error that cut the search short.
+	seg := segment{sols: w.buf, err: st.err}
+	if !ps.collect {
+		seg.count = st.count - base
+	}
+	w.buf = nil
+	if len(seg.sols) > 0 || seg.count != 0 || seg.err != nil {
+		select {
+		case p.sp.segs <- seg:
+		case <-ps.done:
 		}
-		old := sw.sub
-		sw.mu.Lock()
-		sw.sub = sw.rotate
-		sw.rotate = nil
-		sw.mu.Unlock()
-		close(old.segs)
+	}
+	close(p.sp.segs)
+	return !st.stopped
+}
+
+// serve answers a split request, if a worker is waiting and rc has work to
+// spare. The check comes first so that a received request is always
+// answered with a piece.
+func (w *pipeWorker) serve(rc *regionCursor) {
+	if rc.splitPoint() < 0 {
+		return
+	}
+	select {
+	case reply := <-w.ps.want:
+		w.give(rc, reply)
+	default:
 	}
 }
 
-// flush tries to deliver the accumulated rows as one segment. Non-blocking
-// unless block is set; reports whether the rows were handed off (false with
-// block set means the run is shutting down).
-func (w *pipeWorker) flush(sw *spanWork, block bool) bool {
+// give splits rc and hands the piece to the waiting worker. The piece's span
+// goes directly after the owner's: the piece follows every row the owner
+// still produces and precedes every earlier split's piece.
+func (w *pipeWorker) give(rc *regionCursor, reply chan<- *piece) {
+	ps := w.ps
+	p := rc.splitOff()
+	p.sp = newSpan()
+	p.sp.next = w.sp.next
+	w.sp.next = p.sp
+	ps.mu.Lock()
+	ps.live++
+	ps.mu.Unlock()
+	pipelineSplits.Add(1)
+	reply <- p
+}
+
+// flush tries to deliver the accumulated rows as one segment. Without block
+// it gives up when the slot is full. With block it waits for the slot —
+// serving split requests meanwhile, so an owner parked on backpressure still
+// gives work away — and reports false only when the run shuts down first.
+func (w *pipeWorker) flush(rc *regionCursor, block bool) bool {
 	seg := segment{sols: w.buf}
-	if block {
+	if !block {
 		select {
-		case sw.sub.segs <- seg:
+		case w.sp.segs <- seg:
 			w.buf = nil
 			return true
-		case <-w.ps.done:
+		default:
 			return false
 		}
 	}
-	select {
-	case sw.sub.segs <- seg:
-		w.buf = nil
-		return true
-	default:
-		return false
+	for {
+		var want chan chan *piece // nil: no spare work, no requests taken
+		if rc.splitPoint() >= 0 {
+			want = w.ps.want
+		}
+		select {
+		case w.sp.segs <- seg:
+			w.buf = nil
+			return true
+		case reply := <-want:
+			w.give(rc, reply)
+		case <-w.ps.done:
+			return false
+		}
 	}
 }

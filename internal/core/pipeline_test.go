@@ -279,8 +279,8 @@ func TestPipelineProfileMergesToSequentialTotals(t *testing.T) {
 // cutoff abandons a region mid-enumeration, the suspended cursor's frames
 // still hold used[] flags and predicate-variable bindings in the worker's
 // searchState. runSpan must unwind them (regionCursor.abort) before the
-// state serves another span — a worker that later steals a range preceding
-// the limit cut would otherwise silently drop that range's rows. The test
+// state serves another piece — a worker that later runs a piece preceding
+// the limit cut would otherwise silently drop that piece's rows. The test
 // drives runSpan directly: a heavy region that trips the cutoff, then a
 // light region through the same worker whose every row reuses a data vertex
 // (or edge label) the abandoned search had bound.
@@ -354,44 +354,15 @@ func TestRunSpanAbandonedCursorNoPollution(t *testing.T) {
 					t.Fatalf("heavy region too small (%d total rows) to trip the span cutoff at %d", len(seq), limit)
 				}
 
-				m := newMatcher(context.Background(), g, q, tc.sem, opts)
-				start, cands := m.startCandidates()
-				if len(cands) != 2 {
-					t.Fatalf("start vertex %d with %d candidates, want the 2 hubs", start, len(cands))
+				ps, w := testPipe(g, q, tc.sem, opts, 1, limit)
+				if len(ps.cands) != 2 {
+					t.Fatalf("start vertex %d with %d candidates, want the 2 hubs", ps.start, len(ps.cands))
 				}
-				m.buildQueryTree(start)
-				ps := &pipeState{
-					m: m, cands: cands, start: start,
-					collect: true, limit: limit, quota: 64,
-					done: make(chan struct{}),
-				}
-				w := &pipeWorker{ps: ps}
-				w.st = newSearchState(m, func(mt Match) bool {
-					w.buf = append(w.buf, mt.Clone())
-					return true
-				}, 0, nil)
-				w.st.stop = &ps.stop
-				w.rg = newRegion(len(m.q.Vertices))
-
-				runOne := func(lo, hi int) []string {
-					sw := &spanWork{sub: newSpan(), next: lo, hi: hi}
-					out := make(chan []string, 1)
-					go func() {
-						var keys []string
-						for seg := range sw.sub.segs {
-							for _, mt := range seg.sols {
-								keys = append(keys, matchKey(mt))
-							}
-						}
-						out <- keys
-					}()
-					w.runSpan(sw)
-					return <-out
-				}
+				runOne := func() []string { return drainPiece(w, ps.claim()) }
 
 				// The heavy region exceeds the span limit: runSpan abandons it
 				// mid-enumeration after exactly limit rows.
-				heavy := runOne(0, 1)
+				heavy := runOne()
 				if len(heavy) != limit {
 					t.Fatalf("heavy span delivered %d rows, want the span limit %d", len(heavy), limit)
 				}
@@ -412,14 +383,14 @@ func TestRunSpanAbandonedCursorNoPollution(t *testing.T) {
 					}
 				}
 				// The light region through the same worker state stands in for
-				// a stolen earlier range the emitter still replays: its rows
+				// an earlier piece the emitter still replays: its rows
 				// (up to the fresh span's own limit) must match the sequential
 				// tail exactly.
 				want := seq[len(seq)-tc.lightRows:]
 				if limit < len(want) {
 					want = want[:limit]
 				}
-				light := runOne(1, 2)
+				light := runOne()
 				if len(light) != len(want) {
 					t.Fatalf("light span delivered %d rows, want %d — stale bindings dropped rows", len(light), len(want))
 				}
@@ -458,5 +429,172 @@ func TestPipelineBackpressure(t *testing.T) {
 	}
 	if part.Regions*4 >= full.Regions {
 		t.Fatalf("early stop explored %d of %d regions despite a 2-batch window", part.Regions, full.Regions)
+	}
+}
+
+// testPipe builds the coordination state of one collecting pipeline run over
+// g and q — batches of chunk regions, a span-local row limit, no emitter and
+// no running workers — plus one worker on it, so a test can drive claim,
+// runSpan and splitting by hand.
+func testPipe(g graph.View, q *QueryGraph, sem Semantics, opts Opts, chunk, limit int) (*pipeState, *pipeWorker) {
+	m := newMatcher(context.Background(), g, q, sem, opts)
+	start, cands := m.startCandidates()
+	m.buildQueryTree(start)
+	numBatches := (len(cands) + chunk - 1) / chunk
+	ps := &pipeState{
+		m: m, cands: cands, start: start,
+		chunk: chunk, numBatches: numBatches,
+		collect: true, limit: limit, quota: 64,
+		done:     make(chan struct{}),
+		ring:     make([]chan *span, numBatches),
+		want:     make(chan chan *piece),
+		finished: make(chan struct{}),
+	}
+	for i := range ps.ring {
+		ps.ring[i] = make(chan *span, 1)
+	}
+	return ps, ps.newWorker()
+}
+
+// drainPiece runs p on w and returns the rows delivered into its span.
+func drainPiece(w *pipeWorker, p *piece) []string {
+	out := make(chan []string, 1)
+	go func() {
+		var keys []string
+		for seg := range p.sp.segs {
+			for _, mt := range seg.sols {
+				keys = append(keys, matchKey(mt))
+			}
+		}
+		out <- keys
+	}()
+	w.runSpan(p)
+	return <-out
+}
+
+// TestSplitOnRequest unit-tests the splitting protocol without a scheduler:
+// a batch cursor gives up ⌈remaining/2⌉ of its regions from the tail, each
+// split's span goes directly after the owner's so successive splits chain
+// in sequential order, a spent range frame hands out work from inside the
+// current region without the owner's current bindings, and an owner with no
+// waiting requester never splits. Replaying the owner and then every piece
+// in chain order must reproduce the unsplit batch row for row.
+func TestSplitOnRequest(t *testing.T) {
+	g, q := starInstance(40, 5, 3)
+	opts := Optimized()
+	opts.NoNEC = true // one cfSearch frame per leaf
+	ps, w := testPipe(g, q, Isomorphism, opts, 64, 0)
+	if len(ps.cands) != 40 {
+		t.Fatalf("%d start candidates, want the 40 hubs", len(ps.cands))
+	}
+	rows := func(buf []Match) []string {
+		keys := make([]string, len(buf))
+		for i, mt := range buf {
+			keys[i] = matchKey(mt)
+		}
+		return keys
+	}
+
+	// The reference: the batch [5,25) run unsplit on a second worker.
+	ref := ps.newWorker()
+	ref.rc.start(ref.st, 5, 25)
+	if !ref.rc.resume(0) {
+		t.Fatal("unsplit batch did not finish")
+	}
+	want := rows(ref.buf)
+
+	succ := newSpan()
+	owner := &piece{lo: 5, hi: 25, sp: &span{segs: make(chan segment, 1), next: succ}}
+	rc := &w.rc
+	rc.start(w.st, owner.lo, owner.hi)
+	w.sp = owner.sp
+
+	// No requester waits on ps.want: serving must leave the cursor alone.
+	splits := pipelineSplits.Load()
+	w.serve(rc)
+	if owner.sp.next != succ || len(rc.stack[0].list) != 25 || pipelineSplits.Load() != splits {
+		t.Fatal("owner split with no waiting requester")
+	}
+
+	var pieces []*piece
+	split := func() *piece {
+		reply := make(chan *piece, 1)
+		w.give(rc, reply)
+		p := <-reply
+		pieces = append(pieces, p)
+		return p
+	}
+	// Range splits take ⌈remaining/2⌉ regions from the tail: 20 → [15,25),
+	// 10 → [10,15), 5 → [7,10).
+	for _, r := range [][2]int{{15, 25}, {10, 15}, {7, 10}} {
+		if p := split(); p.rc != nil || p.lo != r[0] || p.hi != r[1] {
+			t.Fatalf("range split: got [%d,%d) in-region=%v, want [%d,%d)", p.lo, p.hi, p.rc != nil, r[0], r[1])
+		}
+	}
+	// Each split lands directly after the owner: owner → T3 → T2 → T1 → succ.
+	chain := []*span{owner.sp, pieces[2].sp, pieces[1].sp, pieces[0].sp, succ}
+	for i := 0; i+1 < len(chain); i++ {
+		if chain[i].next != chain[i+1] {
+			t.Fatalf("chain link %d out of order", i)
+		}
+	}
+
+	// Enter region 5 and deliver its first row: the range keeps region 6
+	// pending, and the region holds pending leaf loops above it.
+	if rc.resume(1) {
+		t.Fatal("owner finished after one row")
+	}
+	if p := split(); p.rc != nil || p.lo != 6 || p.hi != 7 {
+		t.Fatalf("last range split: got [%d,%d) in-region=%v, want [6,7)", p.lo, p.hi, p.rc != nil)
+	}
+	// The range frame is spent: the next split comes from the bottom-most
+	// pending candidate loop inside region 5, the first leaf's (4 of its 5
+	// candidates pending, so the piece takes 2).
+	hub := w.st.mapping[q.Edges[0].From]
+	in := split()
+	if in.rc == nil {
+		t.Fatal("split of a spent range did not come from inside the region")
+	}
+	f := in.rc.stack[0]
+	if len(in.rc.stack) != 1 || f.kind != cfSearch || f.dc != 1 || len(f.list) != 2 {
+		t.Fatalf("in-region piece: %d frames, kind %d at dc %d over %d candidates; want one cfSearch frame at dc 1 over 2",
+			len(in.rc.stack), f.kind, f.dc, len(f.list))
+	}
+	for v, used := range in.rc.st.used {
+		if used != (uint32(v) == hub) {
+			t.Errorf("piece used[%d] = %v: only the hub, bound below the split point, may be bound", v, used)
+		}
+	}
+	for i, b := range in.rc.st.varBind {
+		if b != NoID {
+			t.Errorf("piece varBind[%d] = %d, want unbound", i, b)
+		}
+	}
+
+	// Finish the owner, then replay every piece in chain order.
+	if !rc.resume(0) {
+		t.Fatal("owner did not finish")
+	}
+	got := rows(w.buf)
+	w.buf = nil
+	for sp := owner.sp.next; sp != succ; sp = sp.next {
+		var p *piece
+		for _, c := range pieces {
+			if c.sp == sp {
+				p = c
+			}
+		}
+		if p == nil {
+			t.Fatal("chain holds a span no piece feeds")
+		}
+		got = append(got, drainPiece(ps.newWorker(), p)...)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("owner plus pieces delivered %d rows, unsplit batch %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("row %d: %s, want %s", i, got[i], want[i])
+		}
 	}
 }

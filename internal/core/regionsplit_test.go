@@ -40,14 +40,15 @@ func singleRegionInstance(mids, leaves int) (*graph.Graph, *QueryGraph) {
 	return b.Build(), q
 }
 
-// TestRegionSplitDifferential: on a single-region instance — where batch
-// stealing can never engage — parallel Stream/Collect must still deliver the
-// byte-identical sequential row sequence for every worker count, Count must
-// agree (including under MaxSolutions), and the region-split counter must
-// prove the in-region stealing path actually carried work.
+// TestRegionSplitDifferential: on a single-region instance — one batch of
+// one region, so every split comes from inside the region — parallel
+// Stream/Collect must still deliver the byte-identical sequential row
+// sequence for every worker count, Count must agree (including under
+// MaxSolutions), and the split counter must prove the in-region path
+// actually carried work.
 func TestRegionSplitDifferential(t *testing.T) {
 	g, q := singleRegionInstance(96, 40)
-	splitBase := regionSplits.Load()
+	splitBase := pipelineSplits.Load()
 	for _, sem := range []Semantics{Homomorphism, Isomorphism} {
 		seq := Optimized()
 		seq.Workers = 1
@@ -106,22 +107,22 @@ func TestRegionSplitDifferential(t *testing.T) {
 			})
 		}
 	}
-	// Split engagement is timing-dependent — a thief must catch the region
-	// while it is still running — so if the differential runs above finished
+	// Split engagement is timing-dependent — a request must reach the owner
+	// while the region is still running — so if the differential runs above finished
 	// too fast to be caught, prove engagement on a heavier instance, retrying
 	// a bounded number of times. The correctness checks above do not depend
 	// on whether a split happened; this only asserts the path can carry work.
-	if regionSplits.Load() == splitBase {
+	if pipelineSplits.Load() == splitBase {
 		hg, hq := singleRegionInstance(64, 600)
 		par := Optimized()
 		par.Workers = 8
-		for i := 0; i < 25 && regionSplits.Load() == splitBase; i++ {
+		for i := 0; i < 25 && pipelineSplits.Load() == splitBase; i++ {
 			if _, err := Count(context.Background(), hg, hq, Homomorphism, par); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	if regionSplits.Load() == splitBase {
+	if pipelineSplits.Load() == splitBase {
 		t.Errorf("no region-internal split engaged on a single-region instance")
 	}
 }

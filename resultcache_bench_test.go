@@ -35,7 +35,7 @@ SELECT ?X ?Y ?Z WHERE {
 // (cache disabled), `hot` replays a warmed entry. Both arms run the full
 // HTTP handler — negotiation, serialization, flush cadence — so the ratio
 // is the end-to-end win a client observes. CI gates hot at >= 5x cold via
-// benchgate (BENCH_pr10.json).
+// benchgate (BENCH.json).
 func BenchmarkResultCacheHit(b *testing.B) {
 	ds := datagen.LUBMDataset(2)
 	store := turbohom.New(ds.Triples, nil)
